@@ -1,8 +1,9 @@
 // Package core implements the paper's contribution: memory-bus
 // contention analysis for partitioned fixed-priority multicore systems
-// under FP, Round-Robin and TDMA bus arbitration, with and without
-// cache persistence awareness, and the resulting worst-case response
-// time (WCRT) analysis.
+// under FP, Round-Robin and TDMA bus arbitration (plus a regulated and
+// a parallelism-aware bus), with and without cache persistence
+// awareness, and the resulting worst-case response time (WCRT)
+// analysis.
 //
 // Equation map (numbers refer to the paper):
 //
@@ -18,11 +19,17 @@
 // the paper's remark below Eq. (12) that the term vanishes for the
 // lowest-priority task of the core.
 //
-// The equations are evaluated against precomputed interference tables
-// (see tables.go): all cache-set work is hoisted out of the fixed-point
-// iteration, which then runs on integer arithmetic only. AnalyzeReference
-// (reference.go) retains the direct, recompute-everything evaluation;
-// the differential test asserts both produce bit-identical results.
+// Each formula has one definition, and there are two evaluators. How
+// an arbiter composes BAS, the per-core BAO and the blocking term into
+// BAT is written once, in the arbiter combinator (arbiter.go). The
+// reference (reference.go) recomputes every BAS/BAO term from the task
+// model on each use; it is the oracle of the differential test and
+// serves the pointwise API (Analyzer.BAS/BAO/BAOLow/BAT) and Explain.
+// The fast path (this file and curves.go) runs the fixed point on
+// breakpoint curves built from precomputed interference tables
+// (tables.go), so the iteration does integer arithmetic only; the
+// differential test asserts it returns results bit-identical to the
+// reference.
 package core
 
 import (
@@ -35,67 +42,6 @@ import (
 	"repro/internal/taskmodel"
 	"repro/internal/telemetry"
 )
-
-// Arbiter selects the memory bus arbitration policy under analysis.
-type Arbiter int
-
-const (
-	// FP is the work-conserving fixed-priority bus (Eq. 7): bus
-	// requests inherit the priority of the issuing task.
-	FP Arbiter = iota
-	// RR is the work-conserving Round-Robin bus (Eq. 8) with s memory
-	// access slots per core.
-	RR
-	// TDMA is the non-work-conserving time-division bus (Eq. 9) with a
-	// cycle of NumCores×s slots.
-	TDMA
-	// Perfect is the idealized contention-free bus used as the upper
-	// bound in Fig. 2: tasks still pay d_mem per own-core access, but
-	// suffer no cross-core interference; the task set must additionally
-	// keep total bus utilization at or below one.
-	Perfect
-	// Regulated is a MemGuard-style bandwidth-regulated bus (Agrawal et
-	// al.): each core holds a budget of Q = RegBudget accesses
-	// replenished every P = RegPeriod cycles, budgeted requests have
-	// strict priority over out-of-budget ones, and unused bandwidth is
-	// dynamically reclaimed round-robin (one access per grant). A window
-	// of length t overlaps at most ⌈t/P⌉+1 replenishment periods, so a
-	// remote core injects at most (⌈t/P⌉+1)·Q budgeted accesses plus, by
-	// the slot-1 round robin of the reclaim class, one reclaimed access
-	// per own access — min(BAO, regCap(t) + BAS) per remote core.
-	Regulated
-	// ParAware is the parallelism-aware per-access bound (Yun et al.):
-	// with one outstanding request per core served oldest-class
-	// round-robin one access at a time, each own access waits for at
-	// most one in-flight request per other core — min(BAO, BAS) per
-	// remote core, i.e. Eq. (8) with slot size pinned to 1.
-	ParAware
-)
-
-// Arbiters returns every declared arbiter, in declaration order — the
-// iteration domain of completeness tests and sweep grids.
-func Arbiters() []Arbiter {
-	return []Arbiter{FP, RR, TDMA, Perfect, Regulated, ParAware}
-}
-
-func (a Arbiter) String() string {
-	switch a {
-	case FP:
-		return "FP"
-	case RR:
-		return "RR"
-	case TDMA:
-		return "TDMA"
-	case Perfect:
-		return "Perfect"
-	case Regulated:
-		return "Regulated"
-	case ParAware:
-		return "ParAware"
-	default:
-		return fmt.Sprintf("Arbiter(%d)", int(a))
-	}
-}
 
 // Config selects the analysis variant.
 type Config struct {
@@ -145,15 +91,6 @@ func (c Config) ValidateFor(p taskmodel.Platform) error {
 		return fmt.Errorf("core: regulated arbiter needs platform RegBudget >= 1 and RegPeriod >= 1 (got Q=%d P=%d)", p.RegBudget, p.RegPeriod)
 	}
 	return nil
-}
-
-// regCapAt is the budgeted-access cap of the regulated bus: a window of
-// length t overlaps at most ⌈t/P⌉+1 replenishment periods, each
-// granting at most Q budgeted accesses per core. Shared by the
-// analyzer, the reference and the explainer so all three charge the
-// same cap.
-func regCapAt(p taskmodel.Platform, t taskmodel.Time) int64 {
-	return (ceilDiv(int64(t), int64(p.RegPeriod)) + 1) * p.RegBudget
 }
 
 // TaskResult reports the analysis outcome for one task.
@@ -271,18 +208,6 @@ func newAnalyzerChecked(ts *taskmodel.TaskSet, cfg Config, tbl *Tables) *Analyze
 	return a
 }
 
-// gamma returns γ_{i,j,core} under the configured CRPD approach, from
-// the tables when core is τ_j's own core (the only case the analysis
-// equations produce) and recomputed otherwise.
-func (a *Analyzer) gamma(i, j, core int) int64 {
-	if jj, ok := a.tab.prioIdx[j]; ok && a.tab.tasks[jj].Core == core {
-		if ii, ok := a.tab.prioIdx[i]; ok {
-			return a.tab.pair(ii, a.tab.row(ii), jj).gamma
-		}
-	}
-	return crpd.Gamma(a.TS, a.Cfg.CRPD, i, j, core)
-}
-
 func ceilDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a > 0) == (b > 0) {
@@ -306,292 +231,6 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// pairFor returns the (ii, jj) pair entry filled to the depth the
-// configuration consumes: γ always, the CPRO overlaps only with
-// persistence enabled.
-func (a *Analyzer) pairFor(ii int, r *row, jj int) *pairTab {
-	if a.Cfg.Persistence {
-		return a.tab.pairPersist(ii, r, jj)
-	}
-	return a.tab.pair(ii, r, jj)
-}
-
-// persistentDemand is PersistentDemandWindow (Eq. 10 + Eq. 14, clamped
-// by the oblivious bound) evaluated from the tables: the
-// persistence-aware bound on the accesses of n jobs of task jj inside a
-// window of length t at level ii.
-func (a *Analyzer) persistentDemand(p *pairTab, jj int, n int64, t taskmodel.Time) int64 {
-	if n <= 0 {
-		return 0
-	}
-	tj := a.tab.tasks[jj]
-	plain := n * tj.MD
-	mdhat := n*tj.MDr + a.tab.pcb[jj]
-	if plain < mdhat {
-		mdhat = plain
-	}
-	aware := mdhat + a.rho(p, jj, n, t)
-	if aware < plain {
-		return aware
-	}
-	return plain
-}
-
-// rho is ρ̂_{j,i,x}(n) (Eq. 14 and its variants) from the tables.
-func (a *Analyzer) rho(p *pairTab, jj int, n int64, t taskmodel.Time) int64 {
-	if n <= 1 {
-		return 0
-	}
-	switch a.Cfg.CPRO {
-	case persistence.Union:
-		return (n - 1) * p.unionOverlap
-	case persistence.MultisetUnion:
-		union := (n - 1) * p.unionOverlap
-		var multi int64
-		for _, ev := range p.evictors {
-			// Jobs of the evictor in the window, +1 for a carry-in job.
-			jobs := int64(t)/int64(ev.Period) + 2
-			if jobs > n-1 {
-				jobs = n - 1
-			}
-			multi += jobs * ev.Overlap
-		}
-		return min64(multi, union)
-	case persistence.FullReload:
-		return (n - 1) * a.tab.pcb[jj]
-	case persistence.None:
-		return 0
-	default:
-		panic(fmt.Sprintf("core: unknown CPRO approach %d", int(a.Cfg.CPRO)))
-	}
-}
-
-// BAS bounds the bus accesses generated on core x by one job of the
-// priority-i task plus all higher-priority tasks of that core in a
-// window of length t. With persistence disabled this is Eq. (1); with
-// persistence enabled it is B̂AS of Lemma 1 (Eq. 16).
-func (a *Analyzer) BAS(i, core int, t taskmodel.Time) int64 {
-	if ii, ok := a.tab.prioIdx[i]; ok && a.tab.tasks[ii].Core == core {
-		return a.bas(ii, t)
-	}
-	// Off-core query (not produced by the analysis itself): recompute.
-	ti := a.TS.ByPriority(i)
-	total := ti.MD
-	for _, tj := range a.TS.HP(i, core) {
-		ej := ceilDiv(int64(t), int64(tj.Period))
-		g := a.gamma(i, tj.Priority, core)
-		if a.Cfg.Persistence {
-			total += persistence.PersistentDemandWindow(a.TS, a.Cfg.CPRO, tj.Priority, i, core, ej, t)
-		} else {
-			total += ej * tj.MD
-		}
-		total += ej * g
-	}
-	return total
-}
-
-// bas is BAS at level ii on the task's own core, from the tables.
-func (a *Analyzer) bas(ii int, t taskmodel.Time) int64 {
-	r := a.tab.row(ii)
-	total := a.tab.tasks[ii].MD
-	for _, ref := range r.hp {
-		ej := ceilDiv(int64(t), int64(ref.t.Period))
-		p := a.pairFor(ii, r, ref.idx)
-		if a.Cfg.Persistence {
-			total += a.persistentDemand(p, ref.idx, ej, t)
-		} else {
-			total += ej * ref.t.MD
-		}
-		total += ej * p.gamma
-	}
-	return total
-}
-
-// njobs computes N_{k,l}^y(t) of Eq. (6): the number of jobs of τ_l
-// (on core y) that can fully execute inside a window of length t at
-// priority level k, given the current response-time estimate R_l.
-func (a *Analyzer) njobs(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
-	g := a.gamma(k, tl.Priority, tl.Core)
-	num := int64(t) + int64(a.R[tl.Priority]) - (tl.MD+g)*int64(a.TS.Platform.DMem)
-	n := floorDiv(num, int64(tl.Period))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// wcout computes W_{k,l,cout}^y of Eq. (5): the bus accesses of the
-// carry-out job of τ_l that only partially overlaps the window.
-func (a *Analyzer) wcout(k int, tl *taskmodel.Task, t taskmodel.Time, n int64) int64 {
-	g := a.gamma(k, tl.Priority, tl.Core)
-	dmem := int64(a.TS.Platform.DMem)
-	num := int64(t) + int64(a.R[tl.Priority]) - (tl.MD+g)*dmem - n*int64(tl.Period)
-	w := ceilDiv(num, dmem)
-	if w < 0 {
-		return 0
-	}
-	return min64(w, tl.MD+g)
-}
-
-// BAO bounds the bus accesses generated on remote core y by all tasks
-// of priority k or higher in a window of length t. With persistence
-// disabled this is Eq. (3); enabled, it is B̂AO of Lemma 2.
-func (a *Analyzer) BAO(k, y int, t taskmodel.Time) int64 {
-	if kk, ok := a.tab.prioIdx[k]; ok {
-		return a.bao(kk, y, t)
-	}
-	var total int64
-	for _, tl := range a.TS.HEP(k, y) {
-		total += a.contrib(k, tl, t)
-	}
-	return total
-}
-
-func (a *Analyzer) bao(kk, y int, t taskmodel.Time) int64 {
-	r := a.tab.row(kk)
-	var total int64
-	for _, ref := range r.hep[y] {
-		total += a.contribRef(kk, r, ref, t)
-	}
-	return total
-}
-
-// BAOLow bounds the accesses from tasks on remote core y with priority
-// lower than i (the FP bus blocking sources of Eq. 7).
-func (a *Analyzer) BAOLow(i, y int, t taskmodel.Time) int64 {
-	if ii, ok := a.tab.prioIdx[i]; ok {
-		r := a.tab.row(ii)
-		var total int64
-		for _, ref := range r.lp[y] {
-			total += a.contribRef(ii, r, ref, t)
-		}
-		return total
-	}
-	var total int64
-	for _, tl := range a.TS.LP(i, y) {
-		total += a.contrib(i, tl, t)
-	}
-	return total
-}
-
-// contrib is one task's W + W_cout term of Eq. (3)/(17), recomputed
-// directly; contribRef is the table-backed equivalent used by the hot
-// path.
-func (a *Analyzer) contrib(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
-	n := a.njobs(k, tl, t)
-	g := a.gamma(k, tl.Priority, tl.Core)
-	var w int64
-	if a.Cfg.Persistence {
-		w = persistence.PersistentDemandWindow(a.TS, a.Cfg.CPRO, tl.Priority, k, tl.Core, n, t) + n*g
-	} else {
-		w = n * (tl.MD + g)
-	}
-	return w + a.wcout(k, tl, t, n)
-}
-
-func (a *Analyzer) contribRef(kk int, r *row, ref taskRef, t taskmodel.Time) int64 {
-	tl := ref.t
-	p := a.pairFor(kk, r, ref.idx)
-	dmem := int64(a.TS.Platform.DMem)
-	num := int64(t) + int64(a.R[tl.Priority]) - (tl.MD+p.gamma)*dmem
-	n := floorDiv(num, int64(tl.Period))
-	if n < 0 {
-		n = 0
-	}
-	var w int64
-	if a.Cfg.Persistence {
-		w = a.persistentDemand(p, ref.idx, n, t) + n*p.gamma
-	} else {
-		w = n * (tl.MD + p.gamma)
-	}
-	wc := ceilDiv(num-n*int64(tl.Period), dmem)
-	if wc < 0 {
-		wc = 0
-	} else if wc > tl.MD+p.gamma {
-		wc = tl.MD + p.gamma
-	}
-	return w + wc
-}
-
-// plus1 is the blocking term of Eq. (7)–(9): one access of a
-// lower-priority task of the same core may be in service when the job
-// under analysis arrives. It vanishes when the task is the lowest
-// priority one on its core (see the remark below Eq. 12).
-func (a *Analyzer) plus1(i, core int) int64 {
-	if ii, ok := a.tab.prioIdx[i]; ok && a.tab.tasks[ii].Core == core {
-		if a.tab.hasLP(ii) {
-			return 1
-		}
-		return 0
-	}
-	if len(a.TS.LP(i, core)) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// BAT bounds the total number of bus accesses that may delay the
-// priority-i task on its core during a window of length t, under the
-// configured arbiter (Eq. 7, 8 or 9; own accesses only for Perfect).
-func (a *Analyzer) BAT(i int, t taskmodel.Time) int64 {
-	ti := a.TS.ByPriority(i)
-	core := ti.Core
-	bas := a.BAS(i, core, t)
-	switch a.Cfg.Arbiter {
-	case Perfect:
-		return bas
-	case FP:
-		total := bas + a.plus1(i, core)
-		var low int64
-		for y := 0; y < a.TS.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += a.BAO(i, y, t)
-			low += a.BAOLow(i, y, t)
-		}
-		return total + min64(bas, low)
-	case RR:
-		s := int64(a.TS.Platform.SlotSize)
-		n := a.TS.LowestPriority()
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.TS.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.BAO(n, y, t), s*bas)
-		}
-		return total
-	case TDMA:
-		s := int64(a.TS.Platform.SlotSize)
-		l := int64(a.TS.Platform.NumCores)
-		return bas + (l-1)*s*bas + a.plus1(i, core)
-	case Regulated:
-		n := a.TS.LowestPriority()
-		rc := regCapAt(a.TS.Platform, t)
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.TS.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.BAO(n, y, t), rc+bas)
-		}
-		return total
-	case ParAware:
-		n := a.TS.LowestPriority()
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.TS.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.BAO(n, y, t), bas)
-		}
-		return total
-	default:
-		panic(fmt.Sprintf("core: unknown arbiter %d", int(a.Cfg.Arbiter)))
-	}
-}
-
 // ResponseTime runs the inner fixed point of Eq. (19) for the
 // priority-i task with the current remote response-time estimates. It
 // returns the WCRT and true, or the deadline-exceeding estimate and
@@ -606,18 +245,25 @@ func (a *Analyzer) BAT(i int, t taskmodel.Time) int64 {
 // terminates the loop immediately. The iterate chain — and with it
 // every returned value, including the deadline-exceeding abort
 // estimate — is exactly the naive chain of AnalyzeReference.
+//
+// i must be the priority of a task in the analyzed set; any other value
+// is a caller bug and panics with a message naming it.
 func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
+	ii, ok := a.tab.prioIdx[i]
+	if !ok {
+		panic(fmt.Sprintf("core: ResponseTime: no task with priority %d", i))
+	}
 	obs := a.obs
 	if obs == nil {
-		r, ok, _, _ := a.responseTime(i)
+		r, ok, _, _ := a.responseTime(ii)
 		return r, ok
 	}
 	obs.Add(telemetry.CtrTaskAnalyses, 1)
 	var sp telemetry.Span
 	if obs.Tracing() {
-		sp = obs.Span("task "+a.TS.ByPriority(i).Name, "task")
+		sp = obs.Span("task "+a.tab.tasks[ii].Name, "task")
 	}
-	r, ok, iters, jumps := a.responseTime(i)
+	r, ok, iters, jumps := a.responseTime(ii)
 	obs.Add(telemetry.CtrInnerIterations, iters)
 	obs.Add(telemetry.CtrBreakpointJumps, jumps)
 	obs.Observe(telemetry.HistInnerIters, iters)
@@ -627,25 +273,19 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 	return r, ok
 }
 
-// responseTime is the ResponseTime body, additionally reporting the
-// number of inner iterates and whether the loop terminated via the
-// breakpoint jump — the telemetry wrapper's raw material.
-func (a *Analyzer) responseTime(i int) (taskmodel.Time, bool, int64, int64) {
-	ti := a.TS.ByPriority(i)
-	ii, ok := a.tab.prioIdx[i]
-	if !ok {
-		// Off-table priority (not produced by the analysis itself):
-		// fall back to direct re-evaluation.
-		r, okd := a.responseTimeDirect(i, ti)
-		return r, okd, 0, 0
-	}
+// responseTime is the ResponseTime body for table level ii,
+// additionally reporting the number of inner iterates and whether the
+// loop terminated via the breakpoint jump — the telemetry wrapper's
+// raw material.
+func (a *Analyzer) responseTime(ii int) (taskmodel.Time, bool, int64, int64) {
+	ti := a.tab.tasks[ii]
 	dmem := a.TS.Platform.DMem
 	r := ti.PD + taskmodel.Time(ti.MD)*dmem
 	var cur taskmodel.Time
 	if a.rdLive {
 		cur = a.rd[ii]
 	} else {
-		cur = a.R[i]
+		cur = a.R[ti.Priority]
 	}
 	if cur > r {
 		r = cur
@@ -656,9 +296,10 @@ func (a *Analyzer) responseTime(i int) (taskmodel.Time, bool, int64, int64) {
 	var iters int64
 	for {
 		iters++
-		next := ti.PD + a.fp.procSum + taskmodel.Time(a.fpBAT(ti.MD, ti.Core, hasLP))*dmem
+		d := a.fpBAT(ti.MD, ti.Core, hasLP)
+		next := ti.PD + a.fp.procSum + taskmodel.Time(d.bat())*dmem
 		if conv {
-			a.obs.Convergence.Step(ti.Name, i, int64(next), a.dominantTerm(ti, hasLP))
+			a.obs.Convergence.Step(ti.Name, ti.Priority, int64(next), a.dominantTerm(d))
 		}
 		if next > ti.Deadline {
 			return next, false, iters, 0
@@ -689,115 +330,35 @@ func (a *Analyzer) responseTime(i int) (taskmodel.Time, bool, int64, int64) {
 }
 
 // dominantTerm names the largest interference term of the recurrence
-// right-hand side at the current cursor state, reusing the Explanation
-// field names of explain.go (CorePreemption, BAS, Remote[y], SlotWait,
-// Blocking). Access terms are compared in time units (accesses ×
-// d_mem) so they are commensurable with the processor-preemption sum;
-// the task's own PD is demand, not interference, and is excluded.
-// Only called while recording convergence traces.
-func (a *Analyzer) dominantTerm(ti *taskmodel.Task, hasLP bool) string {
+// right-hand side at the current cursor state: the processor
+// preemption sum, then the parts of the decomposition d that fpBAT
+// just returned, with the per-core charges it left in the cursor
+// state. The names are the Explanation fields of explain.go
+// (CorePreemption, BAS, Remote[y], SlotWait, Blocking) and ties go to
+// the earlier term in that order. Access terms are compared in time
+// units (accesses × d_mem) so they are commensurable with the
+// processor-preemption sum; the task's own PD is demand, not
+// interference, and is excluded. Only called while recording
+// convergence traces.
+func (a *Analyzer) dominantTerm(d busTerms) string {
 	s := a.fp
 	dmem := int64(a.TS.Platform.DMem)
-	bas := ti.MD + s.basSum
 	best, bestV := "CorePreemption", int64(s.procSum)
-	if v := bas * dmem; v > bestV {
+	if v := d.bas * dmem; v > bestV {
 		best, bestV = "BAS", v
 	}
-	var plus1 int64
-	if hasLP {
-		plus1 = 1
+	for y, c := range s.charged {
+		if v := c * dmem; v > bestV {
+			best, bestV = "Remote["+strconv.Itoa(y)+"]", v
+		}
 	}
-	switch a.Cfg.Arbiter {
-	case FP:
-		var low int64
-		for y := range s.baoSum {
-			if v := s.baoSum[y] * dmem; v > bestV {
-				best, bestV = "Remote["+strconv.Itoa(y)+"]", v
-			}
-			low += s.lowSum[y]
-		}
-		if v := (plus1 + min64(bas, low)) * dmem; v > bestV {
-			best, bestV = "Blocking", v
-		}
-	case RR:
-		slot := int64(a.TS.Platform.SlotSize)
-		for y := range s.baoSum {
-			if y == ti.Core {
-				continue
-			}
-			if v := min64(s.baoSum[y], slot*bas) * dmem; v > bestV {
-				best, bestV = "Remote["+strconv.Itoa(y)+"]", v
-			}
-		}
-		if v := plus1 * dmem; v > bestV {
-			best, bestV = "Blocking", v
-		}
-	case TDMA:
-		l := int64(a.TS.Platform.NumCores)
-		slot := int64(a.TS.Platform.SlotSize)
-		if v := (l - 1) * slot * bas * dmem; v > bestV {
-			best, bestV = "SlotWait", v
-		}
-		if v := plus1 * dmem; v > bestV {
-			best, bestV = "Blocking", v
-		}
-	case Regulated:
-		rc := regCapAt(a.TS.Platform, s.at)
-		for y := range s.baoSum {
-			if y == ti.Core {
-				continue
-			}
-			if v := min64(s.baoSum[y], rc+bas) * dmem; v > bestV {
-				best, bestV = "Remote["+strconv.Itoa(y)+"]", v
-			}
-		}
-		if v := plus1 * dmem; v > bestV {
-			best, bestV = "Blocking", v
-		}
-	case ParAware:
-		for y := range s.baoSum {
-			if y == ti.Core {
-				continue
-			}
-			if v := min64(s.baoSum[y], bas) * dmem; v > bestV {
-				best, bestV = "Remote["+strconv.Itoa(y)+"]", v
-			}
-		}
-		if v := plus1 * dmem; v > bestV {
-			best, bestV = "Blocking", v
-		}
-	case Perfect:
-		// Own accesses only; BAS already covered above.
+	if v := d.slotWait * dmem; v > bestV {
+		best, bestV = "SlotWait", v
+	}
+	if v := d.blocking * dmem; v > bestV {
+		best = "Blocking"
 	}
 	return best
-}
-
-// responseTimeDirect is the pre-curve iteration, retained for queries
-// at priority levels outside the precomputed tables.
-func (a *Analyzer) responseTimeDirect(i int, ti *taskmodel.Task) (taskmodel.Time, bool) {
-	hp := a.TS.HP(i, ti.Core)
-	dmem := a.TS.Platform.DMem
-	r := ti.PD + taskmodel.Time(ti.MD)*dmem
-	if cur := a.R[i]; cur > r {
-		r = cur
-	}
-	for {
-		var interference taskmodel.Time
-		for _, tj := range hp {
-			interference += taskmodel.Time(ceilDiv(int64(r), int64(tj.Period))) * tj.PD
-		}
-		next := ti.PD + interference + taskmodel.Time(a.BAT(i, r))*dmem
-		if next > ti.Deadline {
-			return next, false
-		}
-		if next == r {
-			return r, true
-		}
-		if next < r {
-			return r, true
-		}
-		r = next
-	}
 }
 
 // perfectBusUtil is the long-run bus utilization the perfect-bus
@@ -874,7 +435,7 @@ func (a *Analyzer) Run() *Result {
 
 func (a *Analyzer) run() *Result {
 	res := &Result{Schedulable: true, Complete: true}
-	if a.Cfg.Arbiter == Perfect && a.perfectBusUtil() > 1.0 {
+	if a.Cfg.Arbiter.gatesBusUtil() && a.perfectBusUtil() > 1.0 {
 		if a.obs != nil {
 			a.obs.Add(telemetry.CtrAbortBusOverload, 1)
 		}

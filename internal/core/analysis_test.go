@@ -232,10 +232,9 @@ func TestBaselineBATMonotoneInWindow(t *testing.T) {
 	// MD+γ while Ŵ only grows by the residual demand — each point is
 	// individually sound, so this is an artifact of Eq. (5)'s cap, not
 	// a bug; see TestPersistenceAwareBATDominatedByBaseline.
-	ts := fixtures.Fig1TaskSet()
-	for _, cfg := range []Config{
-		{Arbiter: FP}, {Arbiter: RR}, {Arbiter: TDMA}, {Arbiter: Perfect},
-	} {
+	ts := regulatedFig1()
+	for _, arb := range Arbiters() {
+		cfg := Config{Arbiter: arb}
 		a, err := NewAnalyzer(ts, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -255,8 +254,8 @@ func TestBaselineBATMonotoneInWindow(t *testing.T) {
 }
 
 func TestPersistenceAwareBATDominatedByBaseline(t *testing.T) {
-	ts := fixtures.Fig1TaskSet()
-	for _, arb := range []Arbiter{FP, RR, TDMA, Perfect} {
+	ts := regulatedFig1()
+	for _, arb := range Arbiters() {
 		base, err := NewAnalyzer(ts, Config{Arbiter: arb})
 		if err != nil {
 			t.Fatal(err)
@@ -273,6 +272,16 @@ func TestPersistenceAwareBATDominatedByBaseline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// regulatedFig1 is the Fig. 1 fixture with regulation parameters
+// added, so the Regulated arbiter can be analyzed on it (the paper's
+// example carries none). The budget is small enough for the regCap
+// clamp to bind inside the windows the tests probe.
+func regulatedFig1() *taskmodel.TaskSet {
+	ts := fixtures.Fig1TaskSet()
+	ts.Platform.RegBudget, ts.Platform.RegPeriod = 2, 40
+	return ts
 }
 
 // randomTaskSets yields generated task sets across utilizations for

@@ -76,9 +76,9 @@ type termCurve struct {
 
 // levelCurves materializes one analysis level's interference curves,
 // mirroring the row's hp/hep/lp slices (same tasks, same order — the
-// summation order of bas/bao/BAOLow, kept identical so the engine
-// reproduces their arithmetic exactly). Like the pair tables the
-// build is lazy — per level, per core, per column: TDMA and Perfect
+// summation order of the reference's bas/bao/baoLow, kept identical
+// so the engine reproduces its arithmetic exactly). Like the pair
+// tables the build is lazy — per level, per core, per column: TDMA and Perfect
 // never pay for remote curves, and persistence-oblivious
 // configurations never pay for the CPRO fills. The slices are views
 // into backbones that may be shared through the MemoStore and must
@@ -279,8 +279,8 @@ type remoteCursor struct {
 	c    int64
 	val  int64
 	next taskmodel.Time
-	// core indexes the per-core sum the value feeds; low selects the
-	// BAO_low sum (FP blocking) over the BAO sum.
+	// core indexes the per-core BAO sum the value feeds; low selects the
+	// BAO_low total (FP blocking) instead.
 	core int32
 	low  bool
 	// idx/prio identify the interfering task for fpRemote — kept on the
@@ -299,12 +299,17 @@ type remoteCursor struct {
 // so the inner fixed point allocates nothing once the analyzer is warm
 // (pinned by the allocs regression test).
 type fpState struct {
-	same    []sameCursor
-	remote  []remoteCursor
-	baoSum  []int64
-	lowSum  []int64
+	same   []sameCursor
+	remote []remoteCursor
+	baoSum []int64
+	// charged receives the per-core remote charges of the latest fpBAT
+	// call (the combinator's output), read by dominantTerm.
+	charged []int64
 	procSum taskmodel.Time
 	basSum  int64
+	// lowSum is Σ_y BAO_low, the FP blocking demand; only its total is
+	// ever charged.
+	lowSum int64
 	// minNext is the smallest next-breakpoint over all cursors: below
 	// it, every term — and hence f — is provably constant.
 	minNext taskmodel.Time
@@ -314,9 +319,10 @@ type fpState struct {
 	valid bool
 }
 
-// persistentDemandCurve is persistentDemand evaluated from curve
-// constants: the same arithmetic, term for term, so both paths produce
-// bit-identical values.
+// persistentDemandCurve is persistence.PersistentDemandWindow (Eq. 10
+// + Eq. 14, clamped by the oblivious bound) evaluated from curve
+// constants: the same arithmetic, term for term, so the fast path and
+// the reference produce bit-identical values.
 func (a *Analyzer) persistentDemandCurve(tc *termCurve, n int64, t taskmodel.Time) int64 {
 	if n <= 0 {
 		return 0
@@ -333,7 +339,8 @@ func (a *Analyzer) persistentDemandCurve(tc *termCurve, n int64, t taskmodel.Tim
 	return plain
 }
 
-// rhoCurve mirrors rho from curve constants.
+// rhoCurve is persistence.RhoHatWindow (Eq. 14 and its variants) from
+// curve constants.
 func (a *Analyzer) rhoCurve(tc *termCurve, n int64, t taskmodel.Time) int64 {
 	if n <= 1 {
 		return 0
@@ -379,7 +386,8 @@ func (a *Analyzer) evictorBreak(tc *termCurve, t, next taskmodel.Time) taskmodel
 }
 
 // sameEval evaluates one same-core curve at t: the processor term, the
-// BAS term (matching bas() exactly) and the next breakpoint.
+// BAS term (matching the reference's bas exactly) and the next
+// breakpoint.
 func (a *Analyzer) sameEval(tc *termCurve, t taskmodel.Time) (procVal taskmodel.Time, basVal int64, next taskmodel.Time) {
 	e := ceilDiv(int64(t), int64(tc.period))
 	procVal = taskmodel.Time(e) * tc.pd
@@ -398,9 +406,9 @@ func (a *Analyzer) sameEval(tc *termCurve, t taskmodel.Time) (procVal taskmodel.
 	return procVal, basVal, next
 }
 
-// remoteEval evaluates one remote curve at t, matching contribRef
-// exactly: the n(t) job count of Eq. (6), the W demand term and the
-// carry-out ramp W_cout of Eq. (5), plus the next breakpoint (job
+// remoteEval evaluates one remote curve at t, matching the reference's
+// contrib exactly: the n(t) job count of Eq. (6), the W demand term and
+// the carry-out ramp W_cout of Eq. (5), plus the next breakpoint (job
 // release, d_mem ramp step, or evictor release).
 func (a *Analyzer) remoteEval(tc *termCurve, c int64, t taskmodel.Time) (val int64, next taskmodel.Time) {
 	dmem := int64(a.TS.Platform.DMem)
@@ -459,10 +467,9 @@ func (a *Analyzer) fpRemote(cur *remoteCursor) taskmodel.Time {
 
 // fpReset prepares the cursors for the priority-level row ii at the
 // starting iterate r, setting a.fp to the level's persistent state.
-// Remote curves are read at level ii for the FP bus and at the
-// lowest-priority level for RR, Regulated and ParAware (their BAT
-// formulas charge remote demand at the bottom level, like Eq. 8);
-// TDMA and Perfect need none.
+// Remote curves are read at the level the arbiter's demandLevel names
+// (its own level for FP, the lowest one for RR, Regulated and
+// ParAware); TDMA and Perfect need none.
 //
 // When the level was analyzed before and the seed equals the iterate
 // its cursors stopped at — the steady state of the outer loop, whose
@@ -489,7 +496,7 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 			}
 			val, next := a.remoteEval(tc, c, r)
 			if cur.low {
-				s.lowSum[cur.core] += val - cur.val
+				s.lowSum += val - cur.val
 			} else {
 				s.baoSum[cur.core] += val - cur.val
 			}
@@ -514,7 +521,7 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 				}
 			}
 			s.minNext = minNext
-			a.clampRegNext(s, r)
+			a.clampArbiterBreak(s, r)
 		}
 		return
 	}
@@ -547,18 +554,17 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 	m := a.TS.Platform.NumCores
 	if cap(s.baoSum) < m {
 		s.baoSum = make([]int64, m)
-		s.lowSum = make([]int64, m)
+		s.charged = make([]int64, m)
 	}
 	s.baoSum = s.baoSum[:m]
-	s.lowSum = s.lowSum[:m]
-	for y := 0; y < m; y++ {
-		s.baoSum[y], s.lowSum[y] = 0, 0
-	}
+	s.charged = s.charged[:m]
+	clear(s.baoSum)
+	s.lowSum = 0
 	s.remote = s.remote[:0]
-	a.clampRegNext(s, r)
-	switch a.Cfg.Arbiter {
-	case FP, RR, Regulated, ParAware:
-	default:
+	a.clampArbiterBreak(s, r)
+	// Table levels are priority-ascending, so the last is the lowest.
+	level, ok := a.Cfg.Arbiter.demandLevel(ii, len(a.tab.tasks)-1)
+	if !ok {
 		return
 	}
 	if cap(s.remote) < len(a.tab.tasks) {
@@ -579,7 +585,7 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 			val, next := a.remoteEval(tc, cur.c, r)
 			cur.val, cur.next = val, next
 			if low {
-				s.lowSum[y] += val
+				s.lowSum += val
 			} else {
 				s.baoSum[y] += val
 			}
@@ -589,37 +595,28 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 			s.remote = append(s.remote, cur)
 		}
 	}
-	level := ii
-	if a.Cfg.Arbiter != FP {
-		// RR, Regulated and ParAware all read remote demand at the
-		// lowest priority level.
-		level = a.tab.prioIdx[a.TS.LowestPriority()]
-	}
 	for y := 0; y < m; y++ {
 		if y == core {
 			continue
 		}
+		// The lp curves are empty at the lowest level, so only FP gets
+		// BAO_low cursors.
 		remote, low := a.tab.curveRemote(level, y, persist, a.obs)
 		idxs := a.tab.coreIdx[y]
 		addRemote(remote, idxs[:len(remote)], y, false)
-		if a.Cfg.Arbiter == FP {
-			addRemote(low, idxs[len(remote):], y, true)
-		}
+		addRemote(low, idxs[len(remote):], y, true)
 	}
 }
 
-// clampRegNext folds the regulated bus's budget breakpoint into the
-// cursor minimum: regCapAt steps at t = k·P+1 independently of every
-// task curve, so the breakpoint jump must not skip across one — the
-// jump's premise is that f is constant on (r, next], and for Regulated
-// f also reads the cap. The clamp may fire early (recomputing an
-// unchanged f), never late, preserving the naive iterate chain.
-func (a *Analyzer) clampRegNext(s *fpState, t taskmodel.Time) {
-	if a.Cfg.Arbiter != Regulated {
-		return
-	}
-	p := int64(a.TS.Platform.RegPeriod)
-	if bp := taskmodel.Time(ceilDiv(int64(t), p)*p + 1); bp < s.minNext {
+// clampArbiterBreak folds the arbiter's own breakpoint (capBreak: the
+// regulated bus's budget cap steps at t = k·P+1 independently of every
+// task curve) into the cursor minimum, so the breakpoint jump does not
+// skip across one — the jump's premise is that f is constant on
+// (r, next], and f also reads the cap. The clamp may fire early
+// (recomputing an unchanged f), never late, preserving the naive
+// iterate chain.
+func (a *Analyzer) clampArbiterBreak(s *fpState, t taskmodel.Time) {
+	if bp := a.Cfg.Arbiter.capBreak(&a.TS.Platform, t); bp < s.minNext {
 		s.minNext = bp
 	}
 }
@@ -653,7 +650,7 @@ func (a *Analyzer) fpAdvance(t taskmodel.Time) {
 		if cur.next <= t {
 			val, next := a.remoteEval(cur.tc, cur.c, t)
 			if cur.low {
-				s.lowSum[cur.core] += val - cur.val
+				s.lowSum += val - cur.val
 			} else {
 				s.baoSum[cur.core] += val - cur.val
 			}
@@ -665,70 +662,19 @@ func (a *Analyzer) fpAdvance(t taskmodel.Time) {
 		}
 	}
 	s.minNext = minNext
-	a.clampRegNext(s, t)
+	a.clampArbiterBreak(s, t)
 	if a.obs != nil {
 		a.obs.Add(telemetry.CtrBreakpointSnaps, snaps)
 	}
 }
 
-// fpBAT combines the cursor sums into BAT exactly as BAT() does from
-// its recomputed terms: Eq. (7) for FP, Eq. (8) for RR, Eq. (9) for
-// TDMA, own accesses only for Perfect.
-func (a *Analyzer) fpBAT(md int64, core int, hasLP bool) int64 {
+// fpBAT feeds the cursor sums to the arbiter combinator: BAS is the
+// task's own MD plus the same-core sum, the per-core BAO sums are the
+// raw remote demand and the BAO_low total the FP blocking demand. s.at
+// is the iterate the sums are valid at — responseTime keeps it equal to
+// the current iterate r at every call — so a window-dependent cap
+// (Regulated) is evaluated at exactly the t the reference uses.
+func (a *Analyzer) fpBAT(md int64, core int, hasLP bool) busTerms {
 	s := a.fp
-	bas := md + s.basSum
-	var plus1 int64
-	if hasLP {
-		plus1 = 1
-	}
-	switch a.Cfg.Arbiter {
-	case Perfect:
-		return bas
-	case FP:
-		total := bas + plus1
-		var low int64
-		for y := range s.baoSum {
-			total += s.baoSum[y]
-			low += s.lowSum[y]
-		}
-		return total + min64(bas, low)
-	case RR:
-		slot := int64(a.TS.Platform.SlotSize)
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], slot*bas)
-		}
-		return total
-	case TDMA:
-		slot := int64(a.TS.Platform.SlotSize)
-		l := int64(a.TS.Platform.NumCores)
-		return bas + (l-1)*slot*bas + plus1
-	case Regulated:
-		// s.at is the iterate the sums are valid at — responseTime keeps
-		// it equal to the current iterate r at every fpBAT call — so the
-		// budget cap is evaluated at exactly the t BAT() would use.
-		rc := regCapAt(a.TS.Platform, s.at)
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], rc+bas)
-		}
-		return total
-	case ParAware:
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], bas)
-		}
-		return total
-	default:
-		panic(fmt.Sprintf("core: unknown arbiter %d", int(a.Cfg.Arbiter)))
-	}
+	return a.Cfg.Arbiter.stall(&a.TS.Platform, core, s.at, md+s.basSum, s.baoSum, s.lowSum, hasLP, s.charged)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cacheset"
@@ -63,12 +65,27 @@ func TestFPBlockingTermsHandChecked(t *testing.T) {
 		t.Fatalf("BAOLow = %d, want 2", got)
 	}
 	// plus1: localLo exists.
-	if got := a.plus1(1, 0); got != 1 {
+	if got := a.reference().plus1(1, 0); got != 1 {
 		t.Fatalf("plus1 = %d, want 1", got)
 	}
 	// Eq. (7): BAS + BAO + 1 + min(BAS, BAOLow) = 4 + 3 + 1 + 2 = 10.
 	if got := a.BAT(1, w); got != 10 {
 		t.Fatalf("BAT = %d, want 10", got)
+	}
+}
+
+func TestResponseTimeUnknownPriorityPanics(t *testing.T) {
+	a, err := NewAnalyzer(fixtures.Fig1TaskSet(), Config{Arbiter: RR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		a.ResponseTime(42)
+	}()
+	if !strings.Contains(msg, "no task with priority 42") {
+		t.Fatalf("ResponseTime(42) panic = %q, want one naming priority 42", msg)
 	}
 }
 
@@ -80,7 +97,7 @@ func TestNjobsClampsNegative(t *testing.T) {
 	}
 	// Tiny window, R estimate small: numerator negative.
 	a.R[0] = 1
-	if got := a.njobs(1, ts.ByPriority(0), 1); got != 0 {
+	if got := a.reference().njobs(1, ts.ByPriority(0), 1); got != 0 {
 		t.Fatalf("njobs = %d, want 0 (clamped)", got)
 	}
 }
@@ -93,12 +110,12 @@ func TestWcoutClampedByDemand(t *testing.T) {
 	}
 	tl := ts.ByPriority(0)
 	a.R[0] = 1000 // huge estimate: carry-out capped at MD+γ
-	if got := a.wcout(1, tl, 10, 0); got != tl.MD {
+	if got := a.reference().wcout(1, tl, 10, 0); got != tl.MD {
 		t.Fatalf("wcout = %d, want MD = %d", got, tl.MD)
 	}
 	// Negative numerator clamps at zero.
 	a.R[0] = 0
-	if got := a.wcout(1, tl, 0, 5); got != 0 {
+	if got := a.reference().wcout(1, tl, 0, 5); got != 0 {
 		t.Fatalf("wcout = %d, want 0", got)
 	}
 }

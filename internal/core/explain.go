@@ -74,7 +74,10 @@ type Explanation struct {
 }
 
 // Explain runs the full analysis and decomposes the bound of the task
-// with the given priority at its converged response time.
+// with the given priority at its converged response time. The fast path
+// supplies the estimates; the decomposition is evaluated by the
+// reference at them, through the same arbiter combinator both
+// evaluators use, so its parts add up to the BAT the analysis charged.
 func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) {
 	a, err := NewAnalyzer(ts, cfg)
 	if err != nil {
@@ -94,6 +97,7 @@ func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) 
 	if tr == nil {
 		return nil, fmt.Errorf("core: priority %d missing from result", prio)
 	}
+	ref := a.reference()
 	r := a.R[prio]
 
 	ex := &Explanation{
@@ -108,7 +112,7 @@ func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) 
 
 	for _, tj := range ts.HP(prio, ti.Core) {
 		ej := ceilDiv(int64(r), int64(tj.Period))
-		g := a.gamma(prio, tj.Priority, ti.Core)
+		g := ref.gamma(prio, tj.Priority, ti.Core)
 		term := SameCoreTerm{
 			Task:        tj.Name,
 			Jobs:        ej,
@@ -125,65 +129,18 @@ func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) 
 		ex.SameCore = append(ex.SameCore, term)
 		ex.CorePreemption += taskmodel.Time(ej) * tj.PD
 	}
-	ex.BAS = a.BAS(prio, ti.Core, r)
 
-	bat := a.BAT(prio, r)
-	switch cfg.Arbiter {
-	case FP:
-		var low int64
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
+	d := ref.terms(prio, r)
+	if _, ok := cfg.Arbiter.demandLevel(prio, ts.LowestPriority()); ok {
+		for y := range ref.charged {
+			if y != ti.Core {
+				ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: ref.charged[y], Raw: ref.raw[y]})
 			}
-			raw := a.BAO(prio, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: raw, Raw: raw})
-			low += a.BAOLow(prio, y, r)
 		}
-		ex.Blocking = a.plus1(prio, ti.Core) + min64(ex.BAS, low)
-	case RR:
-		s := int64(ts.Platform.SlotSize)
-		n := ts.LowestPriority()
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, s*ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case TDMA:
-		// TDMA charges slot waiting per own access rather than remote
-		// demand; expose it as a single synthetic term.
-		ex.SlotWait = int64(ts.Platform.NumCores-1) * int64(ts.Platform.SlotSize) * ex.BAS
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case Regulated:
-		n := ts.LowestPriority()
-		rc := regCapAt(ts.Platform, r)
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, rc+ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case ParAware:
-		n := ts.LowestPriority()
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case Perfect:
-		// no remote interference
-	default:
-		return nil, fmt.Errorf("core: no explanation for arbiter %v", cfg.Arbiter)
 	}
-	ex.BAT = bat
-	ex.BusTime = taskmodel.Time(bat) * ts.Platform.DMem
+	ex.BAS, ex.SlotWait, ex.Blocking = d.bas, d.slotWait, d.blocking
+	ex.BAT = d.bat()
+	ex.BusTime = taskmodel.Time(ex.BAT) * ts.Platform.DMem
 	return ex, nil
 }
 

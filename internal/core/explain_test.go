@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
 	"repro/internal/persistence"
 	"repro/internal/taskmodel"
+	"repro/internal/telemetry"
 )
 
 func TestExplainFig1Tau2(t *testing.T) {
@@ -59,14 +61,14 @@ func TestExplainFig1Tau2(t *testing.T) {
 func taskTime(v int64) int64 { return v }
 
 func TestExplainDecompositionAllArbiters(t *testing.T) {
-	ts := fixtures.Fig1TaskSet()
-	for _, arb := range []Arbiter{FP, RR, Perfect} {
+	ts := regulatedFig1()
+	for _, arb := range Arbiters() {
 		for _, p := range []bool{false, true} {
 			ex, err := Explain(ts, Config{Arbiter: arb, Persistence: p}, 1)
 			if err != nil {
 				t.Fatalf("%v: %v", arb, err)
 			}
-			total := ex.BAS + ex.Blocking
+			total := ex.BAS + ex.SlotWait + ex.Blocking
 			for _, rc := range ex.Remote {
 				total += rc.Accesses
 			}
@@ -94,10 +96,10 @@ func TestExplainDecompositionSumsToBAT(t *testing.T) {
 	// must reconstruct the analyzer's bounds exactly —
 	//   BAS = OwnMD + Σ (AwareDemand + CRPD)
 	//   BAT = BAS + SlotWait + Σ Remote.Accesses + Blocking.
-	sets := []*taskmodel.TaskSet{fixtures.Fig1TaskSet()}
+	sets := []*taskmodel.TaskSet{regulatedFig1()}
 	sets = append(sets, randomTaskSets(t, 3, 0.4)...)
 	var cfgs []Config
-	for _, arb := range []Arbiter{FP, RR, TDMA, Perfect} {
+	for _, arb := range Arbiters() {
 		cfgs = append(cfgs, Config{Arbiter: arb})
 		for _, cpro := range []persistence.CPROApproach{
 			persistence.Union, persistence.MultisetUnion,
@@ -180,4 +182,71 @@ func TestExplainPersistenceReducesAwareDemand(t *testing.T) {
 	if aware.BAT >= base.BAT {
 		t.Errorf("persistence did not reduce BAT: %d vs %d", aware.BAT, base.BAT)
 	}
+}
+
+// largestTerm names the largest interference term of an explanation in
+// time units, with dominantTerm's tie order: CorePreemption, BAS, the
+// remote cores in core order, SlotWait, Blocking — an earlier term wins
+// a tie.
+func largestTerm(ex *Explanation, dmem taskmodel.Time) string {
+	best, bestV := "CorePreemption", ex.CorePreemption
+	consider := func(name string, accesses int64) {
+		if v := taskmodel.Time(accesses) * dmem; v > bestV {
+			best, bestV = name, v
+		}
+	}
+	consider("BAS", ex.BAS)
+	for _, rc := range ex.Remote {
+		consider(fmt.Sprintf("Remote[%d]", rc.Core), rc.Accesses)
+	}
+	consider("SlotWait", ex.SlotWait)
+	consider("Blocking", ex.Blocking)
+	return best
+}
+
+func TestConvergenceDominantMatchesExplain(t *testing.T) {
+	// The convergence trace names its dominant term from the fast path's
+	// cursor sums; Explain decomposes the bound on the reference at the
+	// converged estimates. At a converged task's fixed point the last
+	// trace step must name the largest term of Explain's decomposition.
+	seen := map[string]int{}
+	for si, ts := range randomTaskSets(t, 4, 0.3) {
+		// Traces are keyed by task name, and generated names may repeat.
+		for i, task := range ts.Tasks {
+			task.Name = fmt.Sprintf("t%d", i)
+		}
+		for _, arb := range Arbiters() {
+			for _, p := range []bool{false, true} {
+				cfg := Config{Arbiter: arb, Persistence: p}
+				obs := &telemetry.Observer{Convergence: telemetry.NewConvergenceLog()}
+				res, err := AnalyzeOpts(ts, cfg, Options{Observer: obs})
+				if err != nil {
+					t.Fatalf("set %d %v: %v", si, cfg.label(), err)
+				}
+				last := map[string]string{}
+				for _, tr := range obs.Convergence.Traces() {
+					last[tr.Task] = tr.Steps[len(tr.Steps)-1].Dominant
+				}
+				for _, tr := range res.Tasks {
+					if !tr.Verified || !tr.Schedulable {
+						continue
+					}
+					ex, err := Explain(ts, cfg, tr.Priority)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := largestTerm(ex, ts.Platform.DMem)
+					if got := last[tr.Name]; got != want {
+						t.Errorf("set %d %v %s: trace ends on %q, Explain's largest term is %q",
+							si, cfg.label(), tr.Name, got, want)
+					}
+					seen[want]++
+				}
+			}
+		}
+	}
+	if len(seen) < 3 {
+		t.Errorf("dominant terms seen = %v; the corpus no longer exercises the comparison", seen)
+	}
+	t.Logf("dominant terms at the fixed point: %v", seen)
 }

@@ -77,28 +77,28 @@ func TestFig1PersistenceAwareBAT(t *testing.T) {
 }
 
 func TestFig1GammaMemoized(t *testing.T) {
-	a := exampleAnalyzer(t, false)
-	if got := a.gamma(1, 0, 0); got != 2 {
+	ref := exampleAnalyzer(t, false).reference()
+	if got := ref.gamma(1, 0, 0); got != 2 {
 		t.Errorf("γ_{2,1,x} = %d, want 2", got)
 	}
 	// Second call hits the memo and must agree.
-	if got := a.gamma(1, 0, 0); got != 2 {
+	if got := ref.gamma(1, 0, 0); got != 2 {
 		t.Errorf("memoized γ = %d, want 2", got)
 	}
 }
 
 func TestFig1PlusOneRule(t *testing.T) {
-	a := exampleAnalyzer(t, false)
+	ref := exampleAnalyzer(t, false).reference()
 	// τ1 has τ2 below it on core 0: +1 applies.
-	if got := a.plus1(0, 0); got != 1 {
+	if got := ref.plus1(0, 0); got != 1 {
 		t.Errorf("plus1(τ1) = %d, want 1", got)
 	}
 	// τ2 is the lowest-priority task of core 0: no +1.
-	if got := a.plus1(1, 0); got != 0 {
+	if got := ref.plus1(1, 0); got != 0 {
 		t.Errorf("plus1(τ2) = %d, want 0", got)
 	}
 	// τ3 is the lowest of core 1.
-	if got := a.plus1(2, 1); got != 0 {
+	if got := ref.plus1(2, 1); got != 0 {
 		t.Errorf("plus1(τ3) = %d, want 0", got)
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"repro/internal/taskmodel"
 )
 
-// Reference implementation: the direct, recompute-everything evaluation
-// of Eq. (1)–(19) that the analyzer used before the interference tables
-// existed. Every task-pair quantity (γ, the CPRO overlaps, the
+// The reference evaluator: the direct, recompute-everything evaluation
+// of Eq. (1)–(19). Every task-pair quantity (γ, the CPRO overlaps, the
 // hp/hep/lp slices) is rebuilt from the task model on each use, and the
-// outer loop re-evaluates every task in every round. It is kept solely
-// as the oracle for the differential test: the table-driven analyzer
-// must return bit-identical Results. Do not use it for real workloads —
-// that is the point.
+// outer loop re-evaluates every task in every round; only the
+// arbiter's composition of the terms comes from the shared combinator
+// (arbiter.go). It is the oracle of the differential test — the fast
+// path must return bit-identical Results — and it serves the pointwise
+// queries: Analyzer.BAS/BAO/BAOLow/BAT evaluate here at the analyzer's
+// current estimates, and Explain decomposes a bound here at the fast
+// path's converged estimates. Do not run whole analyses on it for real
+// workloads — that is the point.
 
 type refAnalyzer struct {
 	ts  *taskmodel.TaskSet
@@ -21,6 +24,21 @@ type refAnalyzer struct {
 	r   map[int]taskmodel.Time
 
 	gammaMemo map[refGammaKey]int64
+	// raw and charged are the per-core BAO inputs and charged outputs of
+	// the latest terms call.
+	raw, charged []int64
+}
+
+// newRefAnalyzer returns a reference evaluator reading the response-time
+// estimates r (not copied).
+func newRefAnalyzer(ts *taskmodel.TaskSet, cfg Config, r map[int]taskmodel.Time) *refAnalyzer {
+	m := ts.Platform.NumCores
+	return &refAnalyzer{
+		ts: ts, cfg: cfg, r: r,
+		gammaMemo: make(map[refGammaKey]int64),
+		raw:       make([]int64, m),
+		charged:   make([]int64, m),
+	}
 }
 
 type refGammaKey struct{ i, j, core int }
@@ -107,63 +125,28 @@ func (a *refAnalyzer) plus1(i, core int) int64 {
 	return 0
 }
 
-func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
-	ti := a.ts.ByPriority(i)
-	core := ti.Core
+// terms evaluates the priority-i task's BAT at window t through the
+// arbiter combinator, leaving the per-core BAO and charges in a.raw and
+// a.charged.
+func (a *refAnalyzer) terms(i int, t taskmodel.Time) busTerms {
+	core := a.ts.ByPriority(i).Core
 	bas := a.bas(i, core, t)
-	switch a.cfg.Arbiter {
-	case Perfect:
-		return bas
-	case FP:
-		total := bas + a.plus1(i, core)
-		var low int64
-		for y := 0; y < a.ts.Platform.NumCores; y++ {
+	clear(a.raw)
+	var low int64
+	if k, ok := a.cfg.Arbiter.demandLevel(i, a.ts.LowestPriority()); ok {
+		for y := range a.raw {
 			if y == core {
 				continue
 			}
-			total += a.bao(i, y, t)
-			low += a.baoLow(i, y, t)
+			a.raw[y] = a.bao(k, y, t)
+			low += a.baoLow(k, y, t)
 		}
-		return total + min64(bas, low)
-	case RR:
-		s := int64(a.ts.Platform.SlotSize)
-		n := a.ts.LowestPriority()
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.ts.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.bao(n, y, t), s*bas)
-		}
-		return total
-	case TDMA:
-		s := int64(a.ts.Platform.SlotSize)
-		l := int64(a.ts.Platform.NumCores)
-		return bas + (l-1)*s*bas + a.plus1(i, core)
-	case Regulated:
-		n := a.ts.LowestPriority()
-		rc := regCapAt(a.ts.Platform, t)
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.ts.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.bao(n, y, t), rc+bas)
-		}
-		return total
-	case ParAware:
-		n := a.ts.LowestPriority()
-		total := bas + a.plus1(i, core)
-		for y := 0; y < a.ts.Platform.NumCores; y++ {
-			if y == core {
-				continue
-			}
-			total += min64(a.bao(n, y, t), bas)
-		}
-		return total
-	default:
-		panic("core: unknown arbiter")
 	}
+	return a.cfg.Arbiter.stall(&a.ts.Platform, core, t, bas, a.raw, low, a.plus1(i, core) > 0, a.charged)
+}
+
+func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
+	return a.terms(i, t).bat()
 }
 
 func (a *refAnalyzer) responseTime(i int) (taskmodel.Time, bool) {
@@ -221,7 +204,7 @@ func (a *refAnalyzer) fail(res *Result, failPrio int, proven bool) *Result {
 
 func (a *refAnalyzer) run() *Result {
 	res := &Result{Schedulable: true, Complete: true}
-	if a.cfg.Arbiter == Perfect && a.perfectBusUtil() > 1.0 {
+	if a.cfg.Arbiter.gatesBusUtil() && a.perfectBusUtil() > 1.0 {
 		res.Schedulable = false
 		for _, t := range a.ts.Tasks {
 			res.Tasks = append(res.Tasks, TaskResult{
@@ -277,14 +260,33 @@ func AnalyzeReference(ts *taskmodel.TaskSet, cfg Config) (*Result, error) {
 	if cfg.MaxOuterIterations == 0 {
 		cfg.MaxOuterIterations = 64
 	}
-	a := &refAnalyzer{
-		ts:        ts,
-		cfg:       cfg,
-		r:         make(map[int]taskmodel.Time, len(ts.Tasks)),
-		gammaMemo: make(map[refGammaKey]int64),
-	}
+	a := newRefAnalyzer(ts, cfg, make(map[int]taskmodel.Time, len(ts.Tasks)))
 	for _, t := range ts.Tasks {
 		a.r[t.Priority] = t.PD + taskmodel.Time(t.MD)*ts.Platform.DMem
 	}
 	return a.run(), nil
 }
+
+// reference returns the reference evaluator over this analyzer's task
+// set and configuration, reading its current estimates R.
+func (a *Analyzer) reference() *refAnalyzer { return newRefAnalyzer(a.TS, a.Cfg, a.R) }
+
+// BAS bounds the bus accesses generated on core x by one job of the
+// priority-i task plus all higher-priority tasks of that core in a
+// window of length t: Eq. (1), or B̂AS of Lemma 1 (Eq. 16) with
+// persistence enabled.
+func (a *Analyzer) BAS(i, core int, t taskmodel.Time) int64 { return a.reference().bas(i, core, t) }
+
+// BAO bounds the bus accesses generated on remote core y by all tasks
+// of priority k or higher in a window of length t, at the current
+// estimates R: Eq. (3), or B̂AO of Lemma 2 with persistence enabled.
+func (a *Analyzer) BAO(k, y int, t taskmodel.Time) int64 { return a.reference().bao(k, y, t) }
+
+// BAOLow bounds the accesses from tasks on remote core y with priority
+// lower than i (the FP bus blocking sources of Eq. 7).
+func (a *Analyzer) BAOLow(i, y int, t taskmodel.Time) int64 { return a.reference().baoLow(i, y, t) }
+
+// BAT bounds the total number of bus accesses that may delay the
+// priority-i task on its core during a window of length t, under the
+// configured arbiter (Eq. 7, 8 or 9; own accesses only for Perfect).
+func (a *Analyzer) BAT(i int, t taskmodel.Time) int64 { return a.reference().bat(i, t) }
