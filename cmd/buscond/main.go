@@ -40,6 +40,11 @@ import (
 	"repro/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pin the
+// daemon's sockets. Bodies are bounded by size in internal/server.
+const readHeaderTimeout = 10 * time.Second
+
 // run starts the daemon against explicit streams and blocks until ctx
 // is canceled (the signal path) or the listener fails; tests drive it
 // end to end. The returned code is the process exit code: 0 after a
@@ -50,10 +55,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent engine invocations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "requests allowed to wait for a worker before shedding (0 = 2x workers, negative = none)")
-	cacheEntries := fs.Int("cache-entries", 0, "result cache capacity (0 = 1024, negative = disable caching)")
+	cacheEntries := fs.Int("cache-entries", 0, "request store capacity: cached results and delta bases (0 = 1024, negative = coalesce only: no caching, every delta base 404s)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
 	memoEntries := fs.Int("memo-entries", 0, "engine table-memo capacity in columns (0 = 4096, negative = disable memoization)")
-	baseEntries := fs.Int("base-entries", 0, "delta base registry capacity (0 = 1024, negative = disable /v1/analyze/delta)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline while queued (0 = none)")
 	peers := fs.String("peers", "", "comma-separated fleet member addresses (host:port or http:// URLs); enables shard-owner request routing")
 	self := fs.String("self", "", "this node's address within -peers (default: -addr; required when -addr binds port 0)")
@@ -131,7 +135,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		CacheEntries:    *cacheEntries,
 		CacheTTL:        *cacheTTL,
 		MemoEntries:     *memoEntries,
-		BaseEntries:     *baseEntries,
 		RequestTimeout:  *timeout,
 		Observer:        obs,
 		AccessLog:       accessW,
@@ -172,7 +175,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		fmt.Fprintf(stdout, "buscond: fleet member %s of %d nodes\n", ring.SelfURL(), ring.Len())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -48,7 +48,7 @@ func (c Config) canonical() Config {
 type hashWriter struct {
 	h   hash.Hash
 	buf [8]byte
-	// tmp stages multi-word writes (setWords) so each set costs one
+	// tmp stages multi-word writes (setWordsSparse) so each set costs one
 	// Write call instead of one per element.
 	tmp []byte
 }
@@ -78,20 +78,6 @@ func (w *hashWriter) set(s cacheset.Set) {
 	for _, i := range idx {
 		w.i64(int64(i))
 	}
-}
-
-// setWords hashes a set's exact contents via its backing bit words —
-// the same information as set() (capacity prefix makes the word count
-// self-delimiting) at a fraction of the cost, for the hot per-task
-// digests of the memo layer. Kept distinct from set() so CanonicalKey's
-// published request-key encoding is untouched.
-func (w *hashWriter) setWords(s cacheset.Set) {
-	w.u64(uint64(s.Capacity()))
-	w.tmp = w.tmp[:0]
-	for _, word := range s.Words() {
-		w.tmp = binary.LittleEndian.AppendUint64(w.tmp, word)
-	}
-	w.h.Write(w.tmp)
 }
 
 // setWordsSparse hashes a set via its nonzero backing words only, as

@@ -282,8 +282,8 @@ func (tb *Tables) setMemo(m *MemoStore) { tb.memo = m }
 
 // digests lazily computes the per-task field digests the column keys
 // are assembled from. One pass per Tables; the sets are hashed via
-// their raw bit words (setWords), so the cost is linear in the cache
-// geometry rather than the footprint's population count.
+// their nonzero bit words (setWordsSparse), so the cost scales with
+// the footprint's spread rather than the cache geometry.
 //
 // The curve-backbone keys need the per-task scalars too (PD/MD/MDr/
 // Period for same-core curves; PD excluded for remote ones, since no

@@ -33,12 +33,19 @@ func (a *Analyzer) SetObserver(obs *telemetry.Observer) { a.obs = obs }
 
 // AnalyzeOpts is Analyze with options.
 func AnalyzeOpts(ts *taskmodel.TaskSet, cfg Config, opts Options) (*Result, error) {
-	a, err := NewAnalyzer(ts, cfg)
+	// Checked here as well so a bad config reports NewAnalyzer's error,
+	// without analyzeAllObs's "config 0:" prefix.
+	if err := ts.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.ValidateFor(ts.Platform); err != nil {
+		return nil, err
+	}
+	out, err := analyzeAllObs(ts, []Config{cfg}, opts.Observer, opts.Memo)
 	if err != nil {
 		return nil, err
 	}
-	a.obs = opts.Observer
-	return a.Run(), nil
+	return out[0], nil
 }
 
 // AnalyzeAllOpts is AnalyzeAll with options.

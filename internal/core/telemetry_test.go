@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -268,5 +269,38 @@ func TestSensitivityOptsReportRuns(t *testing.T) {
 	}
 	if obs.Metrics.Get(telemetry.CtrRuns) == 0 {
 		t.Error("sensitivity probes invisible to the observer")
+	}
+}
+
+// TestAnalyzeOptsUsesMemo: AnalyzeOpts honors Options.Memo — a second
+// analysis of the same task set against a shared store consumes the
+// first one's curve backbones — and still returns NewAnalyzer's error
+// text for an invalid config.
+func TestAnalyzeOptsUsesMemo(t *testing.T) {
+	obs := telemetry.New()
+	memo := NewMemoStore(0)
+	cfg := Config{Arbiter: RR, Persistence: true}
+	want, err := Analyze(fixtures.Fig1TaskSet(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := AnalyzeOpts(fixtures.Fig1TaskSet(), cfg, Options{Observer: obs, Memo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("call %d: memoized result diverges from Analyze", i)
+		}
+	}
+	if got := obs.Metrics.Get(telemetry.CtrCurveMemoHits); got == 0 {
+		t.Error("core.curve_memo_hits = 0 after two AnalyzeOpts calls sharing a MemoStore")
+	}
+
+	bad := Config{Arbiter: Regulated}
+	_, wantErr := NewAnalyzer(fixtures.Fig1TaskSet(), bad)
+	_, gotErr := AnalyzeOpts(fixtures.Fig1TaskSet(), bad, Options{Memo: memo})
+	if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Errorf("AnalyzeOpts error %v, want NewAnalyzer's %v", gotErr, wantErr)
 	}
 }

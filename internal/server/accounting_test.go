@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,18 +19,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestFollowerAbandonIsNotCoalesced pins the flightGroup contract for a
+// TestFollowerAbandonIsNotCoalesced pins the store contract for a
 // follower whose own context expires while the leader is still in
-// flight: it received nothing, so it must report shared=false with an
-// error that classifies as a timeout — not count as a coalesce.
+// flight: it received nothing, so it must not answer as coalesced, and
+// its error must classify as a timeout.
 func TestFollowerAbandonIsNotCoalesced(t *testing.T) {
-	g := newFlightGroup()
+	obs := telemetry.New()
+	g := newStore(8, 0, time.Now, obs)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = g.do(context.Background(), "k", func() (json.RawMessage, error) {
+		_, _, _ = g.do(context.Background(), nil, "k", nil, nil, func() (json.RawMessage, error) {
 			close(entered)
 			<-release
 			return json.RawMessage(`"late"`), nil
@@ -39,28 +41,30 @@ func TestFollowerAbandonIsNotCoalesced(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the follower's own deadline already passed
-	raw, shared, err := g.do(ctx, "k", func() (json.RawMessage, error) {
+	raw, ans, err := g.do(ctx, nil, "k", nil, nil, func() (json.RawMessage, error) {
 		t.Error("expired follower ran its own computation")
 		return nil, nil
 	})
-	if shared {
-		t.Error("expired follower reported shared=true — it got no shared result")
+	if ans == answerCoalesced {
+		t.Error("expired follower answered as coalesced — it got no shared result")
 	}
 	if raw != nil {
 		t.Errorf("expired follower received bytes: %s", raw)
 	}
-	var fte *followerTimeoutError
-	if !errors.As(err, &fte) {
-		t.Fatalf("error %v (%T) is not a followerTimeoutError", err, err)
-	}
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("followerTimeoutError does not unwrap to the context error: %v", err)
+		t.Errorf("follower error does not unwrap to the context error: %v", err)
 	}
 	if verdictOf(err) != "timeout" {
 		t.Errorf("verdictOf = %q, want timeout", verdictOf(err))
 	}
 	if statusOf(err) != http.StatusGatewayTimeout {
 		t.Errorf("statusOf = %d, want 504", statusOf(err))
+	}
+	if got := obs.Metrics.Get(telemetry.CtrServerTimeouts); got != 1 {
+		t.Errorf("server.timeouts = %d, want 1", got)
+	}
+	if got := obs.Metrics.Get(telemetry.CtrServerCoalesced); got != 0 {
+		t.Errorf("server.coalesced = %d, want 0", got)
 	}
 	close(release)
 	<-leaderDone
@@ -135,11 +139,11 @@ func TestFollowerTimeoutCountsAsTimeoutNotCoalesce(t *testing.T) {
 	<-leaderDone
 }
 
-// TestShedRequestLeavesBaseRegistryUntouched pins the satellite fix:
-// a request becomes addressable as a delta base only once it resolves.
-// Registering at admission time would let a flood of shed requests
-// churn the registry and evict bases that were actually analyzed.
-func TestShedRequestLeavesBaseRegistryUntouched(t *testing.T) {
+// TestShedRequestIsNeverABase: a request becomes addressable as a
+// delta base only once it resolves. A shed request's entry leaves the
+// store with its leader, so a flood of shed requests cannot churn the
+// store and evict bases that were actually analyzed.
+func TestShedRequestIsNeverABase(t *testing.T) {
 	release := make(chan struct{})
 	core.SetBatchFaultHook(func(label string, attempt int) { <-release })
 	defer core.SetBatchFaultHook(nil)
@@ -169,38 +173,52 @@ func TestShedRequestLeavesBaseRegistryUntouched(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A is mid-flight: not registered yet.
-	if got := srv.bases.len(); got != 0 {
-		t.Errorf("base registry holds %d entries while the only request is unresolved, want 0", got)
+	// A is mid-flight: not resolvable yet.
+	keyA := core.CanonicalKey(fixtures.Fig1TaskSet(), coreConfigs(t, paperConfigs[:1]))
+	if _, _, ok := srv.cache.base(keyA); ok {
+		t.Error("an in-flight request resolved as a delta base")
+	}
+	if got := srv.cache.len(); got != 0 {
+		t.Errorf("store holds %d resolved entries while the only request is unresolved, want 0", got)
 	}
 
 	resp, data := postAnalyze(t, hs.URL, bodyB)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload request: status %d, want 429\n%s", resp.StatusCode, data)
 	}
-	if got := srv.bases.len(); got != 0 {
-		t.Errorf("shed request registered a delta base: registry len %d, want 0", got)
+	keyB := core.CanonicalKey(tsB, coreConfigs(t, paperConfigs[:1]))
+	if _, _, ok := srv.cache.base(keyB); ok {
+		t.Error("shed request resolved as a delta base")
+	}
+	srv.cache.mu.Lock()
+	_, heldB := srv.cache.byKey[keyB]
+	srv.cache.mu.Unlock()
+	if heldB {
+		t.Error("shed request left an entry in the store")
 	}
 
 	close(release)
 	<-done
-	if got := srv.bases.len(); got != 1 {
-		t.Errorf("resolved request not registered: registry len %d, want 1", got)
+	if _, _, ok := srv.cache.base(keyA); !ok {
+		t.Error("resolved request not addressable as a delta base")
 	}
-	// The cached replay re-registers the same key — no duplicate entry.
+	if got := srv.cache.len(); got != 1 {
+		t.Errorf("store holds %d resolved entries, want 1", got)
+	}
+	// The cached replay hits the same entry — no duplicate.
 	if resp, data := postAnalyze(t, hs.URL, bodyA); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached replay: status %d\n%s", resp.StatusCode, data)
 	}
-	if got := srv.bases.len(); got != 1 {
-		t.Errorf("cached replay duplicated the base: registry len %d, want 1", got)
+	if got := srv.cache.len(); got != 1 {
+		t.Errorf("cached replay duplicated the entry: store len %d, want 1", got)
 	}
 	_ = data
 }
 
 // TestCacheFillChargedToCacheStage pins the stage-accounting satellite:
-// the post-marshal cache fill is cache time, not marshal time. The TTL
-// clock (Options.Now) is the only seam inside resultCache.put, so a
-// deliberately slow clock makes a mischarged fill show up as an
+// the post-marshal result fill is cache time, not marshal time. The
+// TTL clock (Options.Now) is the only seam inside the store's fill, so
+// a deliberately slow clock makes a mischarged fill show up as an
 // implausibly fat marshal stage.
 func TestCacheFillChargedToCacheStage(t *testing.T) {
 	const stall = 30 * time.Millisecond
@@ -224,7 +242,7 @@ func TestCacheFillChargedToCacheStage(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &fresh); err != nil {
 		t.Fatalf("access line not JSON: %v\n%s", err, line)
 	}
-	// One clock read happens inside cache.put (the TTL stamp); its stall
+	// One clock read happens inside the fill (the TTL stamp); its stall
 	// must land in the cache stage, leaving marshal with only the actual
 	// serialization and response write.
 	margin := (stall - 5*time.Millisecond).Microseconds()
@@ -337,5 +355,60 @@ func TestBatchSizeLimit(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "limit") {
 		t.Errorf("400 body does not explain the limit: %s", data)
+	}
+}
+
+// TestEveryRequestCountsOneHitOrMiss pins the store's accounting
+// invariant: each analyze call counts exactly one of server.cache_hits
+// or server.cache_misses — whether it led, followed, replayed or came
+// in as a delta — and a concurrent duplicate burst runs one analysis.
+func TestEveryRequestCountsOneHitOrMiss(t *testing.T) {
+	core.SetBatchFaultHook(func(label string, attempt int) { time.Sleep(50 * time.Millisecond) })
+	defer core.SetBatchFaultHook(nil)
+
+	obs := telemetry.New()
+	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
+	defer hs.Close()
+	counted := func() (requests, hits, misses int64) {
+		m := obs.Metrics
+		return m.Get(telemetry.CtrServerRequests), m.Get(telemetry.CtrServerCacheHits), m.Get(telemetry.CtrServerCacheMisses)
+	}
+
+	const burst = 8
+	body := requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:2])
+	keys := make([]string, burst)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, data := postAnalyze(t, hs.URL, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("burst request %d: status %d\n%s", i, resp.StatusCode, data)
+				return
+			}
+			keys[i] = decodeEnvelope(t, data).Key
+		}(i)
+	}
+	wg.Wait()
+	if got := obs.Metrics.Get(telemetry.CtrServerAnalyses); got != 1 {
+		t.Errorf("server.analyses = %d after a %d-request duplicate burst, want 1", got, burst)
+	}
+
+	if resp, data := postAnalyze(t, hs.URL, body); resp.StatusCode != http.StatusOK || !decodeEnvelope(t, data).Cached {
+		t.Fatalf("replay: status %d, want a cached 200\n%s", resp.StatusCode, data)
+	}
+	pd, _ := json.Marshal(7)
+	delta := wireDeltaRequest{BaseKey: keys[0], Edits: []wireEdit{{Task: "tau1", Field: "pd", Value: pd}}}
+	if resp, data := postJSON(t, hs.URL+"/v1/analyze/delta", delta); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: status %d\n%s", resp.StatusCode, data)
+	}
+
+	requests, hits, misses := counted()
+	if requests != burst+2 {
+		t.Fatalf("server.requests = %d, want %d", requests, burst+2)
+	}
+	if hits+misses != requests {
+		t.Errorf("cache_hits (%d) + cache_misses (%d) = %d, want server.requests = %d", hits, misses, hits+misses, requests)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Fleet request routing (DESIGN.md §14). With Options.Ring set, every
 // analysis request has exactly one owning node — the stable FNV-1a
 // partition of its canonical key over the sorted member list — and a
-// non-owner relays the request there, so the owner's cache, coalescing
-// map and warm memo backbones serve the whole fleet. Three rules keep
+// non-owner relays the request there, so the owner's request store and
+// warm memo backbones serve the whole fleet. Three rules keep
 // the scheme safe without any cluster state:
 //
 //   - Hop guard: a request carrying the X-Buscond-Forwarded header is
@@ -25,9 +25,9 @@ import (
 //     local compute and marks the verdict "degraded" — node loss
 //     costs latency and cache locality, not availability.
 //   - Edge fill: a successfully relayed /v1/analyze envelope is
-//     parsed and its result bytes stored in the local cache (and the
-//     decoded inputs in the local base registry), so repeat traffic
-//     for a remote key turns into local cache hits.
+//     parsed and its result bytes stored in the local store with the
+//     decoded inputs, so repeat traffic for a remote key turns into
+//     local cache hits and deltas against it resolve locally.
 //
 // Accounting: a successfully proxied request counts only
 // server.peer_proxied at the edge — the owner counts it as
@@ -40,7 +40,7 @@ import (
 // routeRemotely reports whether the request for key should be relayed
 // to a peer: this node is in a fleet, the request was not already
 // routed by a peer (hop guard), another node owns the key, and the
-// local cache cannot answer it anyway.
+// local store cannot answer it anyway.
 func (s *Server) routeRemotely(r *http.Request, key string) bool {
 	if s.ring == nil || cluster.Forwarded(r) || s.ring.OwnsLocally(key) {
 		return false
@@ -82,12 +82,11 @@ func (s *Server) proxyAnalyze(w http.ResponseWriter, r *http.Request, ri *reqInf
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
 	// Edge fill: keep the relayed result bytes so the next duplicate of
-	// this key is a local cache hit, and register the decoded inputs so
-	// deltas against this base resolve locally too.
+	// this key is a local cache hit, with the decoded inputs so deltas
+	// against this base resolve locally too.
 	var env wireAnalyzeResponse
 	if json.Unmarshal(respBody, &env) == nil && env.Key == key && len(env.Results) > 0 {
-		s.cache.put(key, env.Results)
-		s.bases.put(key, ts, cfgs)
+		s.cache.fill(key, env.Results, ts, cfgs)
 		s.obs.Add(telemetry.CtrServerPeerHits, 1)
 	}
 	ri.setVerdict("proxied")
@@ -118,8 +117,7 @@ func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *ta
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
 	if len(env.Results) > 0 {
-		s.cache.put(key, env.Results)
-		s.bases.put(key, ts, cfgs)
+		s.cache.fill(key, env.Results, ts, cfgs)
 		s.obs.Add(telemetry.CtrServerPeerHits, 1)
 	}
 	ri.setVerdict("proxied")
@@ -129,7 +127,7 @@ func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *ta
 }
 
 // proxyDelta relays one /v1/analyze/delta body to the *base* key's
-// owner — that node holds the base registry entry and the warm memo
+// owner — that node holds the base's store entry and the warm memo
 // backbones the delta exists to reuse. Reports true when the peer's
 // response was relayed; false degrades to the local delta path (which
 // 404s honestly if this node never saw the base).
@@ -144,10 +142,11 @@ func (s *Server) proxyDelta(w http.ResponseWriter, r *http.Request, ri *reqInfo,
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
 	// Edge fill under the *edited* request's key, which the envelope
-	// names; the inputs stay unregistered here (the owner has them).
+	// names. The inputs stay unknown here until a full request for the
+	// key hits this entry and attaches its own.
 	var env wireDeltaResponse
 	if json.Unmarshal(respBody, &env) == nil && env.Key != "" && len(env.Results) > 0 {
-		s.cache.put(env.Key, env.Results)
+		s.cache.fill(env.Key, env.Results, nil, nil)
 		s.obs.Add(telemetry.CtrServerPeerHits, 1)
 	}
 	ri.setVerdict("proxied")

@@ -4,15 +4,15 @@
 //
 // The serving layer is deliberately pure: it never post-processes
 // engine output. Each request is canonicalized to a stable key
-// (core.CanonicalKey), answered from a bounded LRU result cache when
-// possible, coalesced with identical in-flight work otherwise
-// (singleflight), and only then admitted to a bounded worker pool.
-// Admission beyond the pool plus a configurable queue depth is shed
-// with 429 and a Retry-After hint, so overload degrades by refusing
-// work, not by collapsing. A request whose analysis panics is isolated
-// by the engine's PR-4 recovery path (retry on the reference analyzer,
-// then a per-request failure) — one poisoned request returns a 500 and
-// the daemon keeps serving.
+// (core.CanonicalKey) and resolved through one keyed LRU (store.go):
+// answered from a resolved entry when possible, coalesced with an
+// identical in-flight request otherwise (singleflight), and only then
+// admitted to a bounded worker pool. Admission beyond the pool plus a
+// configurable queue depth is shed with 429 and a Retry-After hint, so
+// overload degrades by refusing work, not by collapsing. A request
+// whose analysis panics is isolated by the engine's recovery path
+// (retry on the reference analyzer, then a per-request failure) — one
+// poisoned request returns a 500 and the daemon keeps serving.
 //
 // Endpoints:
 //
@@ -34,7 +34,7 @@
 // With Options.Ring set the server is one node of a buscond fleet:
 // requests whose canonical key another node owns are relayed there
 // (shard-owner routing, internal/cluster), relayed results fill the
-// local cache, and an unreachable owner degrades to local compute —
+// local store, and an unreachable owner degrades to local compute —
 // see proxy.go and DESIGN.md §14.
 package server
 
@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,8 +58,8 @@ import (
 )
 
 // Options configures a Server. The zero value is serviceable: engine
-// concurrency at GOMAXPROCS, a queue of twice that, a 1024-entry cache
-// without expiry, no per-request timeout.
+// concurrency at GOMAXPROCS, a queue of twice that, a 1024-entry
+// request store without expiry, no per-request timeout.
 type Options struct {
 	// Workers bounds concurrent engine invocations; <= 0 selects
 	// GOMAXPROCS.
@@ -69,10 +68,12 @@ type Options struct {
 	// before new arrivals are shed with 429. 0 selects 2×Workers; a
 	// negative value disables waiting entirely (busy workers => shed).
 	QueueDepth int
-	// CacheEntries bounds the result cache. 0 selects 1024; a negative
-	// value disables caching.
+	// CacheEntries bounds the request store: the cached results and,
+	// with them, the bases delta requests can name. 0 selects 1024; a
+	// negative value keeps only in-flight entries, so identical requests
+	// still coalesce but nothing is cached and every delta base 404s.
 	CacheEntries int
-	// CacheTTL expires cache entries; 0 keeps them until evicted by
+	// CacheTTL expires resolved entries; 0 keeps them until evicted by
 	// capacity.
 	CacheTTL time.Duration
 	// MemoEntries bounds the engine's content-addressed table memo
@@ -80,10 +81,6 @@ type Options struct {
 	// engine default (4096 columns); a negative value disables
 	// memoization.
 	MemoEntries int
-	// BaseEntries bounds the registry of recently analyzed requests
-	// addressable as delta bases. 0 selects 1024; a negative value
-	// disables /v1/analyze/delta (every base lookup 404s).
-	BaseEntries int
 	// RequestTimeout bounds how long a request may wait for a worker
 	// slot and cancels the engine between requests. A running analysis
 	// is never preempted mid-fixed-point — its runtime is bounded by
@@ -91,8 +88,6 @@ type Options struct {
 	// returned (and cached) even if the deadline passed meanwhile.
 	// 0 disables the deadline.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint attached to 429 responses; 0 selects 1s.
-	RetryAfter time.Duration
 	// Observer receives the server.* counter family and is forwarded to
 	// the engine. nil selects a fresh metrics-only observer so /metrics
 	// always has data.
@@ -118,13 +113,11 @@ type Options struct {
 type Server struct {
 	opts     Options
 	obs      *telemetry.Observer
-	cache    *resultCache
-	flight   *flightGroup
+	cache    *store
 	memo     *core.MemoStore // nil when MemoEntries < 0
-	bases    *baseRegistry
-	ring     *cluster.Ring // nil outside a fleet
-	sem      chan struct{} // worker slots
-	tickets  chan struct{} // worker slots + waiting room; full => shed
+	ring     *cluster.Ring   // nil outside a fleet
+	sem      chan struct{}   // worker slots
+	tickets  chan struct{}   // worker slots + waiting room; full => shed
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in the instrument middleware
 	access   *accessLogger
@@ -149,17 +142,8 @@ func New(opts Options) *Server {
 	case opts.CacheEntries == 0:
 		opts.CacheEntries = 1024
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	switch {
-	case opts.BaseEntries < 0:
-		opts.BaseEntries = 0
-	case opts.BaseEntries == 0:
-		opts.BaseEntries = 1024
 	}
 	var memo *core.MemoStore
 	if opts.MemoEntries >= 0 {
@@ -171,10 +155,8 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		obs:     opts.Observer,
-		cache:   newResultCache(opts.CacheEntries, opts.CacheTTL, opts.Now, opts.Observer),
-		flight:  newFlightGroup(),
+		cache:   newStore(opts.CacheEntries, opts.CacheTTL, opts.Now, opts.Observer),
 		memo:    memo,
-		bases:   newBaseRegistry(opts.BaseEntries),
 		ring:    opts.Ring,
 		sem:     make(chan struct{}, opts.Workers),
 		tickets: make(chan struct{}, opts.Workers+opts.QueueDepth),
@@ -225,11 +207,18 @@ var errShed = errors.New("server: worker pool and queue full")
 // instead of an allocation storm.
 const maxBatchItems = 1024
 
-// analysisError marks a request whose engine run failed terminally
-// (even after the isolation layer's reference retry).
-type analysisError struct{ err error }
+// maxBodyBytes bounds one POST body: room for a full maxBatchItems
+// batch of 64 KB items (a generated 32-task set on the default platform
+// is ~40 KB on the wire). A larger body is a 413 and is never buffered
+// past the limit.
+const maxBodyBytes = 64 << 20
 
-func (e *analysisError) Error() string { return e.err.Error() }
+var errBodyTooLarge = fmt.Errorf("server: request body exceeds the %d MiB limit", maxBodyBytes>>20)
+
+// retryAfterSeconds is the Retry-After hint on every 429. Whole
+// seconds, and never "0", which tells well-behaved clients to hammer
+// immediately.
+const retryAfterSeconds = "1"
 
 // outcome is the result of one analysis request on its way to the
 // wire.
@@ -240,58 +229,36 @@ type outcome struct {
 	coalesced bool
 }
 
-// analyze resolves one request through cache → coalescing → admission
-// → engine, charging each stage to the request's timer. ctx is the
-// *waiting* context (the client's); the engine runs detached so a
-// coalesced result is never poisoned by one client's disconnect. ri
-// carries the per-request observability record and may be nil.
+// analyze resolves one request through the store (a resolved entry,
+// an in-flight leader, or this request leading admission → engine),
+// charging each stage to the request's timer. ctx is the *waiting*
+// context (the client's); the engine runs detached so a coalesced
+// result is never poisoned by one client's disconnect. ri carries the
+// per-request observability record and may be nil.
 func (s *Server) analyze(ctx context.Context, ri *reqInfo, ts *taskmodel.TaskSet, cfgs []core.Config) (outcome, error) {
 	st := ri.stageTimer()
 	s.obs.Add(telemetry.CtrServerRequests, 1)
 	t0 := st.Now()
 	key := core.CanonicalKey(ts, cfgs)
-	raw, hit := s.cache.get(key)
 	st.AddSince(telemetry.StageCache, t0)
-	if hit {
-		s.obs.Add(telemetry.CtrServerCacheHits, 1)
-		s.bases.put(key, ts, cfgs)
-		ri.addCacheHit()
-		ri.setVerdict("cached")
-		return outcome{key: key, raw: raw, cached: true}, nil
-	}
-	s.obs.Add(telemetry.CtrServerCacheMisses, 1)
-	tw := st.Now()
-	raw, shared, err := s.flight.do(ctx, key, func() (json.RawMessage, error) {
+	raw, ans, err := s.cache.do(ctx, st, key, ts, cfgs, func() (json.RawMessage, error) {
 		return s.compute(ri, key, ts, cfgs)
 	})
-	if shared {
-		// Only the follower's wait is a coalesce stage; the leader's time
-		// is decomposed inside compute. A follower whose own context
-		// expired is *not* coalesced — it got nothing — and accounts as a
-		// timeout below instead.
-		st.AddSince(telemetry.StageCoalesce, tw)
-		s.obs.Add(telemetry.CtrServerCoalesced, 1)
+	verdict := "fresh"
+	switch ans {
+	case answerHit:
+		ri.addCacheHit()
+		verdict = "cached"
+	case answerCoalesced:
 		ri.addCoalesced()
+		verdict = "coalesced"
 	}
 	if err != nil {
-		var fte *followerTimeoutError
-		if errors.As(err, &fte) {
-			s.obs.Add(telemetry.CtrServerTimeouts, 1)
-		}
 		ri.setVerdict(verdictOf(err))
 		return outcome{key: key}, err
 	}
-	// Only a resolved request is addressable as a delta base (including
-	// the edited sets produced by deltas themselves, so sweeps chain):
-	// registering before admission would let a flood of shed requests
-	// churn the registry and evict bases that were actually analyzed.
-	s.bases.put(key, ts, cfgs)
-	if shared {
-		ri.setVerdict("coalesced")
-	} else {
-		ri.setVerdict("fresh")
-	}
-	return outcome{key: key, raw: raw, coalesced: shared}, nil
+	ri.setVerdict(verdict)
+	return outcome{key: key, raw: raw, cached: ans == answerHit, coalesced: ans == answerCoalesced}, nil
 }
 
 // verdictOf maps an analysis error to its access-log verdict.
@@ -306,22 +273,11 @@ func verdictOf(err error) string {
 	}
 }
 
-// compute is the flight leader's path: admission, the engine, the
-// cache fill. Stage charges land on the leader's request timer; the
-// coalesced followers charge their wait as StageCoalesce instead.
+// compute is the leader's path: admission, the engine, the marshal.
+// Stage charges land on the leader's request timer; the coalesced
+// followers charge their wait as StageCoalesce instead.
 func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []core.Config) (json.RawMessage, error) {
 	st := ri.stageTimer()
-	// A previous leader may have filled the cache between our lookup
-	// and winning flight leadership.
-	t0 := st.Now()
-	raw, hit := s.cache.get(key)
-	st.AddSince(telemetry.StageCache, t0)
-	if hit {
-		s.obs.Add(telemetry.CtrServerCacheHits, 1)
-		ri.addCacheHit()
-		return raw, nil
-	}
-
 	// Admission: one ticket per request in the building (running or
 	// waiting). No ticket => shed immediately.
 	select {
@@ -333,7 +289,7 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 	}
 
 	// The engine context is detached from any single client: the result
-	// is shared with coalesced followers and the cache. RequestTimeout
+	// is shared with coalesced followers and the store. RequestTimeout
 	// still bounds the wait for a worker slot.
 	ctx := context.Background()
 	if s.opts.RequestTimeout > 0 {
@@ -390,7 +346,7 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 	}
 	if failure != nil {
 		s.obs.Add(telemetry.CtrServerFailures, 1)
-		return nil, &analysisError{failure}
+		return nil, failure
 	}
 	if len(out) == 0 || out[0] == nil {
 		// The deadline fired before the engine picked the request up.
@@ -403,28 +359,16 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 	tm := st.Now()
 	raw, merr := json.Marshal(out[0])
 	st.AddSince(telemetry.StageMarshal, tm)
-	if merr != nil {
-		return nil, merr
-	}
-	// The cache fill is cache time, not marshal time — conflating the
-	// two would hide a contended or oversized cache inside the marshal
-	// histogram.
-	tc := st.Now()
-	s.cache.put(key, raw)
-	st.AddSince(telemetry.StageCache, tc)
-	return raw, nil
+	return raw, merr
 }
 
 // statusOf maps an analysis error to its HTTP status.
 func statusOf(err error) int {
-	var ae *analysisError
 	switch {
 	case errors.Is(err, errShed):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
-	case errors.As(err, &ae):
-		return http.StatusInternalServerError
 	default:
 		return http.StatusInternalServerError
 	}
@@ -439,29 +383,43 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests {
-		// Ceiling, clamped to >= 1: Retry-After is whole seconds, and a
-		// sub-second hint must not round (or truncate) to "0", which
-		// tells well-behaved clients to hammer immediately.
-		secs := int64((s.opts.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	s.writeJSON(w, status, wireError{Error: err.Error()})
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// readPost reads a POST body whole, bounded by maxBodyBytes. Bodies are
+// read whole (not streamed into the decoder) so a non-owner node can
+// relay them to the owning peer verbatim. On failure it writes the
+// error response (405, 413 or 400) and reports false.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
+		return nil, false
 	}
-	// The body is read whole (not streamed into the decoder) so a
-	// non-owner node can relay it to the owning peer verbatim.
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	// A declared oversized length is refused without reading a byte;
+	// MaxBytesReader catches the undeclared (chunked) ones.
+	if r.ContentLength > maxBodyBytes {
+		s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+		return nil, false
+	case err != nil:
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readPost(w, r)
+	if !ok {
 		return
 	}
 	var req wireAnalyzeRequest
@@ -499,13 +457,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+	body, ok := s.readPost(w, r)
+	if !ok {
 		return
 	}
 	var req wireBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

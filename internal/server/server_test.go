@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -555,4 +557,43 @@ func ExampleServer() {
 	}
 	fmt.Println("schedulable:", env.Results[0].Schedulable)
 	// Output: schedulable: true
+}
+
+// TestOversizedBodyIs413: a body declared larger than maxBodyBytes is
+// refused with a 413 naming the limit, before a byte of it is read, and
+// the daemon keeps serving.
+func TestOversizedBodyIs413(t *testing.T) {
+	hs := httptest.NewServer(New(Options{}).Handler())
+	defer hs.Close()
+
+	for _, path := range []string{"/v1/analyze", "/v1/analyze/batch", "/v1/analyze/delta"} {
+		conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: buscond\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{",
+			path, maxBodyBytes+1)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: reading response: %v", path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413\n%s", path, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), "limit") {
+			t.Errorf("%s: 413 body does not name the limit: %s", path, data)
+		}
+	}
+
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after oversized bodies: status %d, want 200", resp.StatusCode)
+	}
 }
